@@ -45,7 +45,6 @@ from .sharded import (
     default_shards,
     merge_shard_stats,
     merge_traces,
-    run_sharded,
     run_sharded_batch,
     split_shards,
 )
@@ -81,7 +80,6 @@ __all__ = [
     "merge_shard_stats",
     "merge_traces",
     "register_backend",
-    "run_sharded",
     "run_sharded_batch",
     "split_shards",
     "windowed_request_stream",

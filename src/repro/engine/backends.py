@@ -362,10 +362,10 @@ class ExmaBackend(SearchBackend):
     One lockstep iteration consumes one k-mer of every live query.  The
     step's ``(kmer, pos)`` requests are coalesced exactly once across the
     whole batch — the software mirror of the accelerator's DRAM-side
-    merge — then answered k-mer-major: each unique k-mer's increment list
-    is fetched once and all its unique positions rank-queried together
-    (vectorized ``searchsorted``, or one batched MTL inference when the
-    k-mer is modelled).
+    merge — then every unique request is rank-queried at once with
+    :meth:`ExmaTable.occ_batch`.  With an index, the step's modelled
+    requests (the index's ``modelled_lookup``) are predicted with one
+    ``predict_many`` call to account the predict/verify cost.
 
     Args:
         reference: DNA reference (ignored when *table* is given).
@@ -389,10 +389,9 @@ class ExmaBackend(SearchBackend):
             table = ExmaTable(reference, k=k)
         self._table = table
         self._index = index
-        self._span = table.reference_length + 1
-        self._augmented: np.ndarray | None = None
-        self._offsets: np.ndarray | None = None
-        self._frequencies: np.ndarray | None = None
+        self._modelled = (
+            None if index is None else index.modelled_lookup(table.kmer_count)
+        )
 
     @property
     def table(self) -> ExmaTable:
@@ -488,7 +487,7 @@ class ExmaBackend(SearchBackend):
                 np.concatenate([lows[active], highs[active]]),
                 span=n + 1,
             )
-            occ_unique = self._resolve_unique(step.kmers, step.positions)
+            occ_unique = self._table.occ_batch(step.kmers, step.positions)
             occ_all = step.scatter(occ_unique)
 
             counts = self._table.count_table()[packed]
@@ -505,86 +504,37 @@ class ExmaBackend(SearchBackend):
 
         return [Interval(int(low), int(high)) for low, high in zip(lows, highs)]
 
-    def _augmented_increments(self) -> tuple[np.ndarray, np.ndarray]:
-        """The increment array offset into per-k-mer key ranges (cached).
-
-        ``augmented[i] = increments[i] + owner_kmer(i) * span`` is globally
-        sorted (increment lists are concatenated k-mer-major and sorted
-        within each list), so ``Occ(kmer, pos)`` for *every* unique request
-        of a step is one vectorized ``searchsorted`` of the packed
-        ``kmer * span + pos`` keys minus the k-mer's list offset — no
-        Python loop over k-mers.
-        """
-        if self._augmented is None:
-            counts = self._table.frequencies()
-            owners = np.repeat(np.arange(counts.size, dtype=np.int64), counts)
-            augmented = self._table.increments + owners * self._span
-            # Publish offsets before the array other threads gate on:
-            # concurrent shard threads (sharded.py's thread executor) check
-            # ``_augmented is None``, so it must become visible last.
-            self._offsets = np.concatenate(([0], np.cumsum(counts)[:-1]))
-            self._augmented = augmented
-        assert self._offsets is not None
-        return self._augmented, self._offsets
-
-    def _resolve_unique(self, kmers: np.ndarray, positions: np.ndarray) -> np.ndarray:
-        """Answer each unique (kmer, pos) request exactly once."""
-        augmented, offsets = self._augmented_increments()
-        keys = kmers * self._span + positions
-        return (np.searchsorted(augmented, keys, side="left") - offsets[kmers]).astype(
-            np.int64
-        )
-
     def _step_contribution(
         self, kmers: np.ndarray, positions: np.ndarray, occ_values: np.ndarray
     ) -> StepContribution:
-        """Per-unique-request resolution costs of one step, k-mer-major.
+        """Per-unique-request resolution costs of one step.
 
         Exact resolution reads ceil-log2 of the k-mer's increment-list
         length per request (binary search), computed for the whole step at
         once: ``frexp`` exponents are exactly ``bit_length`` for the int64
         frequencies.  Modelled k-mers (learned / MTL index) instead read
         the predicted entry plus successor plus the linear overshoot, and
-        contribute one prediction with its error per request.
+        contribute one prediction with its error per request; the step's
+        modelled requests are predicted with one ``predict_many`` call.
         """
-        if self._frequencies is None:
-            # frequencies() copies the 4^k counts table; fetch it once per
-            # backend, not once per lockstep step.
-            self._frequencies = self._table.frequencies()
-        freqs = self._frequencies[kmers]
+        freqs = self._table.frequencies_view()[kmers]
         entries = np.maximum(
             1, np.frexp(freqs.astype(np.float64))[1].astype(np.int64)
         )
-        if self._index is None:
+        if self._modelled is None:
             return StepContribution(entries=entries)
-        predicted_mask: np.ndarray | None = None
-        errors: np.ndarray | None = None
-        unique_kmers, starts = np.unique(kmers, return_index=True)
-        boundaries = np.append(starts, kmers.size)
-        for g, packed in enumerate(unique_kmers.tolist()):
-            if not self._index.has_model(packed):
-                continue
-            begin, end = int(boundaries[g]), int(boundaries[g + 1])
-            prediction = self._predict_batch(packed, positions[begin:end])
-            group_errors = np.abs(occ_values[begin:end] - prediction)
-            if predicted_mask is None:
-                predicted_mask = np.zeros(kmers.size, dtype=bool)
-                errors = np.zeros(kmers.size, dtype=np.int64)
-            predicted_mask[begin:end] = True
-            errors[begin:end] = group_errors
-            # Predicted entry + successor, plus the linear overshoot.
-            entries[begin:end] = 2 + group_errors
-        return StepContribution(entries=entries, predicted=predicted_mask, errors=errors)
-
-    def _predict_batch(self, packed: int, positions: np.ndarray) -> np.ndarray:
-        """Vectorized index prediction, falling back to per-position calls."""
-        predict_batch = getattr(self._index, "predict_batch", None)
-        if predict_batch is not None:
-            return np.asarray(predict_batch(packed, positions), dtype=np.int64)
+        predicted = self._modelled[kmers]
+        if not predicted.any():
+            return StepContribution(entries=entries)
         assert self._index is not None
-        return np.array(
-            [self._index.predict(packed, int(pos)) for pos in positions], dtype=np.int64
+        errors = np.zeros(kmers.size, dtype=np.int64)
+        errors[predicted] = np.abs(
+            occ_values[predicted]
+            - self._index.predict_many(kmers[predicted], positions[predicted])
         )
+        # Predicted entry + successor, plus the linear overshoot.
+        entries[predicted] = 2 + errors[predicted]
+        return StepContribution(entries=entries, predicted=predicted, errors=errors)
 
 
 def _exma_factory_with_index(index_builder):

@@ -80,13 +80,11 @@ __all__ = [
     "merge_shard_stats",
     "merge_traces",
     "oversubscribed",
-    "run_sharded",
     "run_sharded_batch",
     "split_shards",
 ]
 
 T = TypeVar("T")
-R = TypeVar("R")
 
 #: Supported ``concurrent.futures`` executor kinds.
 EXECUTORS = ("thread", "process")
@@ -120,42 +118,43 @@ OVERSUBSCRIBE_ENV = "REPRO_SHARD_OVERSUBSCRIBE"
 _WARNED_ENV_VALUES: set[tuple[str, str]] = set()
 
 
-def _warn_env_once(variable: str, value: str, message: str) -> None:
+def _warn_env_once(variable: str, value: str, message: str, stacklevel: int = 3) -> None:
     """Emit *message* as a RuntimeWarning once per (variable, value)."""
     key = (variable, value)
     if key not in _WARNED_ENV_VALUES:
         _WARNED_ENV_VALUES.add(key)
-        warnings.warn(message, RuntimeWarning, stacklevel=3)
+        warnings.warn(message, RuntimeWarning, stacklevel=stacklevel)
+
+
+def _positive_int_env(variable: str, fallback: str) -> int:
+    """Parse *variable* as a positive integer, defaulting to 1.
+
+    Parsed defensively: a malformed value (non-integer, zero or negative)
+    must never crash engine construction deep inside a long-lived service
+    — it warns once per (variable, value), naming the *fallback*
+    behaviour, and returns 1 instead.
+    """
+    raw = os.environ.get(variable)
+    if raw is None or not raw.strip():
+        return 1
+    try:
+        value = int(raw)
+    except ValueError:
+        message = f"ignoring malformed {variable}={raw!r} (expected a positive integer)"
+    else:
+        if value >= 1:
+            return value
+        message = f"ignoring non-positive {variable}={raw!r}"
+    _warn_env_once(variable, raw, f"{message}; {fallback}", stacklevel=4)
+    return 1
 
 
 def default_shards() -> int:
     """Shard count engines use when not pinned (``REPRO_DEFAULT_SHARDS``).
 
-    Parsed defensively: a malformed value (non-integer, zero or negative)
-    must never crash engine construction deep inside a long-lived service
-    — it warns once and falls back to serial instead.
+    A malformed or non-positive value warns once and falls back to serial.
     """
-    raw = os.environ.get(SHARDS_ENV)
-    if raw is None or not raw.strip():
-        return 1
-    try:
-        shards = int(raw)
-    except ValueError:
-        _warn_env_once(
-            SHARDS_ENV,
-            raw,
-            f"ignoring malformed {SHARDS_ENV}={raw!r} (expected a positive "
-            "integer); running serial",
-        )
-        return 1
-    if shards < 1:
-        _warn_env_once(
-            SHARDS_ENV,
-            raw,
-            f"ignoring non-positive {SHARDS_ENV}={raw!r}; running serial",
-        )
-        return 1
-    return shards
+    return _positive_int_env(SHARDS_ENV, "running serial")
 
 
 def default_replay_workers() -> int:
@@ -164,30 +163,10 @@ def default_replay_workers() -> int:
     The accelerator's :meth:`~repro.accel.exma_accelerator
     .ExmaAccelerator.run_stream` consults this when the caller does not
     pass ``replay_workers``.  Parsed exactly like :func:`default_shards`:
-    a malformed or non-positive value warns once per process and falls
-    back to serial replay instead of crashing a long-lived service.
+    a malformed or non-positive value warns once and falls back to
+    serial replay.
     """
-    raw = os.environ.get(REPLAY_WORKERS_ENV)
-    if raw is None or not raw.strip():
-        return 1
-    try:
-        workers = int(raw)
-    except ValueError:
-        _warn_env_once(
-            REPLAY_WORKERS_ENV,
-            raw,
-            f"ignoring malformed {REPLAY_WORKERS_ENV}={raw!r} (expected a "
-            "positive integer); replaying serial",
-        )
-        return 1
-    if workers < 1:
-        _warn_env_once(
-            REPLAY_WORKERS_ENV,
-            raw,
-            f"ignoring non-positive {REPLAY_WORKERS_ENV}={raw!r}; replaying serial",
-        )
-        return 1
-    return workers
+    return _positive_int_env(REPLAY_WORKERS_ENV, "replaying serial")
 
 
 def default_executor() -> str:
@@ -526,38 +505,6 @@ class BackendWorkerPool:
             self.shutdown(wait=False)
         except Exception:
             pass
-
-
-def _make_executor(executor: str, workers: int) -> Executor:
-    if executor == "thread":
-        return ThreadPoolExecutor(max_workers=workers)
-    if executor == "process":
-        return ProcessPoolExecutor(max_workers=workers)
-    raise ValueError(f"unknown executor {executor!r}; available: {', '.join(EXECUTORS)}")
-
-
-def run_sharded(
-    worker: Callable[[list[T]], R],
-    items: Sequence[T],
-    shards: int,
-    executor: str = "thread",
-) -> list[R]:
-    """Apply *worker* to contiguous shards of *items*, outputs in shard order.
-
-    This is the ad-hoc one-shot path: it spins an executor per call and
-    *worker* must be picklable for the ``process`` executor.  Work bound
-    to a backend should go through a persistent :class:`BackendWorkerPool`
-    instead, which reuses its pool across calls and never re-pickles the
-    backend.  A single shard short-circuits the pool entirely.
-    """
-    shard_lists = split_shards(items, shards)
-    if not shard_lists:
-        return []
-    if len(shard_lists) == 1:
-        return [worker(shard_lists[0])]
-    with _make_executor(executor, len(shard_lists)) as pool:
-        futures = [pool.submit(worker, shard) for shard in shard_lists]
-        return [future.result() for future in futures]
 
 
 def _search_shard(backend: SearchBackend, queries: list[str]) -> tuple[list[Interval], BatchStats]:

@@ -72,6 +72,7 @@ class NaiveLearnedIndex:
         self._threshold = model_threshold
         self._increments_per_leaf = increments_per_leaf
         self._models: dict[int, _PerKmerModel] = {}
+        self._column_cache: tuple[np.ndarray, ...] | None = None
         self._fit_all()
 
     def _fit_all(self) -> None:
@@ -131,6 +132,67 @@ class NaiveLearnedIndex:
         if model is None:
             return self._table.occ(packed, pos)
         return model.predict(float(pos))
+
+    def predict_many(self, kmers: np.ndarray, positions: np.ndarray) -> np.ndarray:
+        """Vectorized :meth:`predict` over aligned k-mer/position arrays.
+
+        Gathers every request's root and leaf parameters from the cached
+        per-k-mer columns and repeats :meth:`_PerKmerModel.predict`'s
+        float64 arithmetic elementwise (root multiply-add, floor, clip to
+        the k-mer's leaves, leaf multiply-add, round half to even, clip to
+        the list), so the results agree exactly.  Every k-mer must be
+        modelled; callers mask their requests with :meth:`modelled_lookup`.
+        """
+        kmers = np.asarray(kmers, dtype=np.int64)
+        positions = np.asarray(positions, dtype=np.float64)
+        root_slopes, root_intercepts, leaf_counts, leaf_offsets, slopes, intercepts = (
+            self._columns()
+        )
+        routed = np.floor(root_slopes[kmers] * positions + root_intercepts[kmers])
+        leaf = leaf_offsets[kmers] + np.clip(routed, 0, leaf_counts[kmers] - 1).astype(
+            np.int64
+        )
+        raw = slopes[leaf] * positions + intercepts[leaf]
+        counts = self._table.frequencies_view()[kmers]
+        return np.clip(np.rint(raw), 0, counts - 1).astype(np.int64)
+
+    def modelled_lookup(self, kmer_count: int) -> np.ndarray:
+        """Boolean mask over packed codes: True where a model exists.
+
+        The array form of :meth:`has_model`, sized for the table's
+        ``4^k`` code space.
+        """
+        if kmer_count != self._table.kmer_count:
+            raise ValueError("kmer_count must match the indexed table")
+        return self._columns()[2] > 0
+
+    def _columns(self) -> tuple[np.ndarray, ...]:
+        """Per-k-mer root slope/intercept, leaf count and leaf offset, plus
+        the flat leaf slope/intercept arrays they index (lazy, cached)."""
+        if self._column_cache is None:
+            size = self._table.kmer_count
+            root_slopes = np.zeros(size, dtype=np.float64)
+            root_intercepts = np.zeros(size, dtype=np.float64)
+            leaf_counts = np.zeros(size, dtype=np.int64)
+            leaf_offsets = np.zeros(size, dtype=np.int64)
+            leaves: list[LinearModel] = []
+            for packed, model in self._models.items():
+                root_slopes[packed] = model.root.slope
+                root_intercepts[packed] = model.root.intercept
+                leaf_counts[packed] = len(model.leaves)
+                leaf_offsets[packed] = len(leaves)
+                leaves.extend(model.leaves)
+            slopes = np.array([leaf.slope for leaf in leaves], dtype=np.float64)
+            intercepts = np.array([leaf.intercept for leaf in leaves], dtype=np.float64)
+            self._column_cache = (
+                root_slopes,
+                root_intercepts,
+                leaf_counts,
+                leaf_offsets,
+                slopes,
+                intercepts,
+            )
+        return self._column_cache
 
     def lookup(self, kmer: str | int, pos: int) -> tuple[int, int]:
         """Exact Occ value plus the linear-search probe distance."""

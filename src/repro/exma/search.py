@@ -15,18 +15,34 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Protocol
 
+import numpy as np
+
 from ..index.fmindex import Interval
 from .table import ExmaTable
 
 
 class OccIndex(Protocol):
-    """Anything that can predict positions within increment lists."""
+    """Anything that can predict positions within increment lists.
+
+    Scalar :meth:`predict` / :meth:`has_model` are the readable oracle
+    :class:`ExmaSearch` uses; :meth:`predict_many` / :meth:`modelled_lookup`
+    are the vectorized production path of the batched engine and the
+    columnar replay, and must agree with the scalar pair exactly.
+    """
 
     def predict(self, kmer: str | int, pos: int) -> int:  # pragma: no cover - protocol
         """Predicted index of *pos* within the k-mer's increment list."""
 
     def has_model(self, packed: int) -> bool:  # pragma: no cover - protocol
         """Whether this index models the k-mer."""
+
+    def predict_many(
+        self, kmers: np.ndarray, positions: np.ndarray
+    ) -> np.ndarray:  # pragma: no cover - protocol
+        """:meth:`predict` over aligned arrays of modelled k-mers and positions."""
+
+    def modelled_lookup(self, kmer_count: int) -> np.ndarray:  # pragma: no cover - protocol
+        """:meth:`has_model` as a boolean mask over all packed k-mer codes."""
 
 
 @dataclass(frozen=True)

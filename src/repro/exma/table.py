@@ -355,8 +355,8 @@ class ExmaTable:
     def frequencies_view(self) -> np.ndarray:
         """The per-k-mer increment counts without the defensive copy.
 
-        For hot gather paths (:meth:`repro.exma.mtl_index.MTLIndex
-        .predict_many`, the columnar replay); callers must not mutate it.
+        For hot gather paths (the batched search backend, the indexes'
+        ``predict_many``, the columnar replay); callers must not mutate it.
         """
         return self._counts
 

@@ -31,6 +31,7 @@ from hypothesis import strategies as st
 from repro.accel import ExmaAccelerator, ExmaAcceleratorConfig
 from repro.engine import CoalescingWindow, QueryEngine, create_backend
 from repro.engine.backends import ExmaBackend, FMIndexBackend, LisaBackend
+from repro.exma.learned_index import NaiveLearnedIndex
 from repro.exma.mtl_index import MTLIndex
 from repro.exma.search import OccRequest
 from repro.exma.table import ExmaTable
@@ -205,6 +206,14 @@ def small_index(small_table):
     )
 
 
+@pytest.fixture(scope="module")
+def small_naive_index(small_table):
+    index = NaiveLearnedIndex(small_table, model_threshold=4, increments_per_leaf=2)
+    # Some modelled k-mer must route through more than one leaf.
+    assert max(small_table.frequency(p) for p in index.modelled_kmers) >= 4
+    return index
+
+
 class TestBatchedQueries:
     def test_occ_batch_matches_occ(self, small_table):
         rng = np.random.default_rng(2)
@@ -222,17 +231,28 @@ class TestBatchedQueries:
         with pytest.raises(ValueError):
             small_table.occ_batch(np.array([small_table.kmer_count]), np.array([0]))
 
-    def test_predict_many_matches_predict(self, small_table, small_index):
+    @pytest.mark.parametrize("index_fixture", ["small_index", "small_naive_index"])
+    def test_predict_many_matches_predict(self, small_table, index_fixture, request):
+        index = request.getfixturevalue(index_fixture)
         rng = np.random.default_rng(3)
-        modelled = np.array(small_index.modelled_kmers)
+        modelled = np.array(index.modelled_kmers)
         assert modelled.size > 0
+        n = small_table.reference_length
         kmers = modelled[rng.integers(0, modelled.size, size=400)]
-        positions = rng.integers(0, small_table.reference_length + 1, size=400)
+        positions = rng.integers(0, n + 1, size=400)
+        # Both list ends: before every increment and past the last one.
+        kmers = np.concatenate([modelled, modelled, kmers])
+        positions = np.concatenate(
+            [np.zeros(modelled.size, np.int64), np.full(modelled.size, n), positions]
+        )
         expected = [
-            small_index.predict(int(kmer), int(pos))
-            for kmer, pos in zip(kmers, positions)
+            index.predict(int(kmer), int(pos)) for kmer, pos in zip(kmers, positions)
         ]
-        assert small_index.predict_many(kmers, positions).tolist() == expected
+        assert index.predict_many(kmers, positions).tolist() == expected
+        lookup = index.modelled_lookup(small_table.kmer_count)
+        assert lookup.tolist() == [
+            index.has_model(packed) for packed in range(small_table.kmer_count)
+        ]
 
     def test_lookup_arrays_match_scalar_queries(self, small_table, small_index):
         modelled = small_index.modelled_lookup(small_table.kmer_count)

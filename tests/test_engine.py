@@ -19,6 +19,7 @@ from repro.engine import (
     available_backends,
     create_backend,
 )
+from repro.exma.learned_index import NaiveLearnedIndex
 from repro.exma.mtl_index import MTLIndex
 from repro.exma.search import ExmaSearch
 from repro.exma.table import ExmaTable
@@ -144,6 +145,31 @@ class TestEngineAgainstSequentialPaths:
         assert _interval_pairs(exact.search_batch(queries)) == _interval_pairs(
             mtl.search_batch(queries)
         )
+
+    @pytest.mark.parametrize(
+        "build_index",
+        [
+            lambda table: MTLIndex(
+                table, model_threshold=4, samples_per_kmer=16, epochs=5, seed=3
+            ),
+            lambda table: NaiveLearnedIndex(table, model_threshold=4, increments_per_leaf=2),
+        ],
+        ids=["exma-mtl", "exma-learned"],
+    )
+    def test_prediction_errors_match_scalar_predict(self, case, build_index):
+        """The engine's batched predictions equal the scalar oracle,
+        request for request in coalesced-stream order."""
+        reference, queries = case
+        table = ExmaTable(reference, k=4)
+        index = build_index(table)
+        stats = QueryEngine(ExmaBackend(table=table, index=index)).search_batch(queries).stats
+        modelled = [r for r in stats.requests if index.has_model(r.packed_kmer)]
+        assert modelled
+        assert stats.prediction_errors == [
+            abs(table.occ(r.packed_kmer, r.pos) - index.predict(r.packed_kmer, r.pos))
+            for r in modelled
+        ]
+        assert stats.index_predictions == len(modelled)
 
 
 class TestEngineApi:
