@@ -23,9 +23,13 @@ from .config import (
     ex_acc_config,
     exma_full_config,
 )
-from .exma_accelerator import AcceleratorRunResult, ExmaAccelerator, WindowedRunResult
+from .exma_accelerator import (
+    AcceleratorRunResult,
+    ExmaAccelerator,
+    WindowedRunResult,
+    replay_epoch,
+)
 from .metrics import ApplicationRun, SearchThroughput, geometric_mean, normalise
-from .parallel import ParallelReplay, replay_epoch
 
 __all__ = [
     "AcceleratorModel",
@@ -48,7 +52,6 @@ __all__ = [
     "exma_full_config",
     "AcceleratorRunResult",
     "ExmaAccelerator",
-    "ParallelReplay",
     "WindowedRunResult",
     "replay_epoch",
     "stream_merge_ratio",

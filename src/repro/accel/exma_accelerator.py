@@ -34,6 +34,7 @@ from typing import Iterable, Sequence
 import numpy as np
 
 from ..engine.coalesce import RequestStream
+from ..engine.pool import WorkerPoolOwner, default_executor
 from ..engine.window import CoalescingWindow, WindowedBatch
 from ..exma.chain import compression_ratio as chain_ratio
 from ..exma.mtl_index import MTLIndex
@@ -225,8 +226,29 @@ class WindowedRunResult:
         )
 
 
-class ExmaAccelerator:
+def replay_epoch(
+    accelerator: "ExmaAccelerator",
+    name: str,
+    flushed: "WindowedBatch | Sequence[OccRequest]",
+) -> AcceleratorRunResult:
+    """Replay one flush epoch on *accelerator* (the pool dispatch target).
+
+    Module-level so it is picklable by reference for the process
+    executor.  A :class:`~repro.engine.window.WindowedBatch` goes through
+    :meth:`ExmaAccelerator.replay_flush` (issued-count base accounting), a
+    plain request sequence through :meth:`ExmaAccelerator.run`.
+    """
+    if isinstance(flushed, WindowedBatch):
+        return accelerator.replay_flush(flushed, name=name)
+    return accelerator.run(flushed, name=name)
+
+
+class ExmaAccelerator(WorkerPoolOwner):
     """Replay FM-Index request streams on the EXMA accelerator model.
+
+    Owns a persistent replay pool (:class:`~repro.engine.pool
+    .WorkerPoolOwner`, bound to the accelerator itself) for parallel
+    :meth:`run_stream`; release it with :meth:`close` or a ``with`` block.
 
     Args:
         table: the EXMA table resident in DRAM.
@@ -253,19 +275,6 @@ class ExmaAccelerator:
         else:
             self._modelled_lookup = np.zeros(table.kmer_count, dtype=bool)
             self._bucket_lookup = None
-        #: Persistent epoch-replay driver (:class:`~repro.accel.parallel
-        #: .ParallelReplay`), created lazily by the first parallel
-        #: ``run_stream`` and swapped when the knobs change.
-        self._replay = None
-
-    # ------------------------------------------------------------------ #
-    # Parallel replay pool lifecycle
-    # ------------------------------------------------------------------ #
-
-    @property
-    def replay(self):
-        """The persistent parallel-replay driver, or ``None`` (serial)."""
-        return self._replay
 
     @property
     def table(self) -> ExmaTable:
@@ -282,62 +291,15 @@ class ExmaAccelerator:
         """The accelerator configuration (needed to clone design points)."""
         return self._config
 
-    @staticmethod
-    def _resolve_replay_workers(replay_workers: "int | None") -> int:
-        """Explicit knob wins verbatim; the env default is hardware-clamped.
-
-        Mirrors the search side's split between the forced
-        :class:`~repro.engine.sharded.ShardedQueryEngine` (runs exactly
-        the split it was asked for — what the equivalence suite relies
-        on) and the adaptive default path (``REPRO_DEFAULT_REPLAY_WORKERS``
-        clamped by :func:`~repro.engine.sharded.effective_shards`, so a
-        blanket env toggle degrades to serial on a single-core host
-        unless ``REPRO_SHARD_OVERSUBSCRIBE`` lifts the clamp).
-        """
-        if replay_workers is None:
-            from ..engine.sharded import default_replay_workers, effective_shards
-
-            return effective_shards(default_replay_workers())
-        workers = int(replay_workers)
-        if workers < 1:
-            raise ValueError("replay_workers must be >= 1")
-        return workers
-
-    def _ensure_replay(self, workers: int, executor: "str | None"):
-        """Reuse the owned replay driver, swapping it when knobs change."""
-        from ..engine.sharded import default_executor
-        from .parallel import ParallelReplay
-
-        executor = default_executor() if executor is None else executor
-        replay = self._replay
-        if replay is not None and (
-            replay.workers != workers or replay.executor != executor
-        ):
-            replay.close()
-            replay = None
-        if replay is None:
-            replay = ParallelReplay(self, workers=workers, executor=executor)
-            self._replay = replay
-        return replay
-
-    def close(self) -> None:
-        """Release the parallel-replay pool (no-op when never created)."""
-        replay, self._replay = self._replay, None
-        if replay is not None:
-            replay.close()
-
-    def __enter__(self) -> "ExmaAccelerator":
+    def _pool_backend(self) -> "ExmaAccelerator":
         return self
-
-    def __exit__(self, *exc_info) -> None:
-        self.close()
 
     def __getstate__(self) -> dict:
         # Worker pools never cross process boundaries: a process-pool
         # replay worker receives the accelerator via the pool initializer
         # and must not drag the parent's executor (unpicklable) with it.
         state = self.__dict__.copy()
-        state["_replay"] = None
+        state["_pool"] = None
         return state
 
     # ------------------------------------------------------------------ #
@@ -840,7 +802,7 @@ class ExmaAccelerator:
         self,
         windows: "Iterable[WindowedBatch | Sequence[OccRequest]]",
         name: str = "EXMA",
-        replay_workers: "int | None" = None,
+        replay_workers: int = 1,
         executor: "str | None" = None,
     ) -> WindowedRunResult:
         """Replay a stream of flushed windows, accounting each flush alone.
@@ -858,33 +820,42 @@ class ExmaAccelerator:
         throughput stays comparable across window capacities while the
         replayed stream shrinks with W.
 
-        Because epochs are independent, ``replay_workers > 1`` fans them
-        across a persistent worker pool (:class:`~repro.accel.parallel
-        .ParallelReplay`, reusing :class:`~repro.engine.sharded
-        .BackendWorkerPool` with this accelerator as the backend) and
-        reassembles the per-flush results in flush order — the result is
-        **field-for-field identical** to the serial replay.  An explicit
-        count is honoured verbatim; the default consults
-        ``REPRO_DEFAULT_REPLAY_WORKERS`` clamped to the hardware.
-        *executor* picks the pool kind (``REPRO_DEFAULT_EXECUTOR`` when
-        ``None``); the process executor ships the accelerator once per
-        worker via the pool initializer.
+        With ``replay_workers == 1`` (the default) each flush is replayed
+        through :meth:`replay_flush` before the next one is pulled from
+        *windows*, so the stream is consumed lazily.  Because epochs are
+        independent, ``replay_workers > 1`` collects them and maps
+        :func:`replay_epoch` over the accelerator's persistent worker
+        pool; the per-flush results come back in flush order, **field-
+        for-field identical** to the serial replay.  *executor* picks the
+        pool kind (``REPRO_DEFAULT_EXECUTOR`` when ``None``); the process
+        executor ships the accelerator once per worker via the pool
+        initializer.
         """
-        workers = self._resolve_replay_workers(replay_workers)
+        workers = int(replay_workers)
+        if workers < 1:
+            raise ValueError("replay_workers must be >= 1")
+        pool = None
         if workers > 1:
-            return self._ensure_replay(workers, executor).run_stream(windows, name=name)
+            pool = self._ensure_pool(
+                workers, default_executor() if executor is None else executor
+            )
         flushes: list[AcceleratorRunResult] = []
+        epochs: list[WindowedBatch | Sequence[OccRequest]] = []
         batches = 0
         issued = 0
         for flushed in windows:
             if isinstance(flushed, WindowedBatch):
                 batches += flushed.batches
                 issued += flushed.issued
-                flushes.append(self.replay_flush(flushed, name=name))
             else:
                 batches += 1
                 issued += len(flushed)
-                flushes.append(self.run(flushed, name=name))
+            if pool is None:
+                flushes.append(replay_epoch(self, name, flushed))
+            else:
+                epochs.append(flushed)
+        if pool is not None:
+            flushes = pool.map_shards(replay_epoch, epochs, name)
         return WindowedRunResult(
             name=name, flushes=flushes, capacity=None, batches=batches, issued=issued
         )
@@ -913,7 +884,7 @@ class ExmaAccelerator:
         batch_streams: "Iterable[Sequence[OccRequest]]",
         window: "int | CoalescingWindow" = 1,
         name: str = "EXMA",
-        replay_workers: "int | None" = None,
+        replay_workers: int = 1,
         executor: "str | None" = None,
     ) -> WindowedRunResult:
         """Merge consecutive batch streams through a coalescing window and

@@ -15,13 +15,8 @@ from dataclasses import dataclass
 
 from ..engine.backends import FMIndexBackend
 from ..engine.coalesce import BatchStats
-from ..engine.engine import WorkerPoolOwner
-from ..engine.sharded import (
-    default_executor,
-    default_shards,
-    effective_shards,
-    split_shards,
-)
+from ..engine.pool import WorkerPoolOwner, default_executor
+from ..engine.sharded import default_shards, effective_shards, split_shards
 from ..engine.window import CoalescingWindow, WindowedBatch
 from ..genome.alphabet import reverse_complement
 from ..genome.reads import SimulatedRead

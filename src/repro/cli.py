@@ -140,8 +140,7 @@ def build_parser() -> argparse.ArgumentParser:
         default=None,
         metavar="N[,N...]",
         help="replay-pool workers: a comma-separated sweep for accel-replay "
-        "(default: 1,2,4) or a single count for fig18-window (default: "
-        "REPRO_DEFAULT_REPLAY_WORKERS or serial)",
+        "(default: 1,2,4) or a single count for fig18-window (default: 1)",
     )
     experiment.add_argument(
         "--replay-executor",
@@ -388,7 +387,11 @@ def _run_search(args: argparse.Namespace) -> int:
     print(f"reference: {len(reference):,} bp, backend {backend_name}, step k={args.step}")
     if engine.shards > 1:
         print(f"sharded: {engine.shards} shards via {engine.executor} executor")
-    result = engine.search_batch(args.queries)
+    try:
+        result = engine.search_batch(args.queries)
+    except ValueError as error:  # invalid query symbols or an empty query
+        print(f"error: {error}", file=sys.stderr)
+        return 2
     for query, interval in zip(args.queries, result.intervals):
         positions = (
             engine.backend.locate(interval) if interval.count and interval.count <= 20 else []
@@ -505,7 +508,7 @@ def _run_experiment(args: argparse.Namespace) -> int:
         while windows[-1] * 2 <= max(1, args.window):
             windows.append(windows[-1] * 2)
         query_length = args.query_length or 48
-        replay_workers = None
+        replay_workers = 1
         if args.replay_workers:
             values = _parse_csv(args.replay_workers, int, "--replay-workers")
             if len(values) != 1:

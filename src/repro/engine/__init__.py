@@ -9,8 +9,9 @@ them in lockstep through a registered backend, coalesces duplicate
 :class:`~repro.engine.coalesce.BatchStats` that feed the hardware model.
 
 Two layers scale it further: :class:`~repro.engine.sharded
-.ShardedQueryEngine` splits batches across a thread/process pool (results
-byte-identical to serial), and :class:`~repro.engine.window
+.ShardedQueryEngine` splits batches across the persistent
+:class:`~repro.engine.pool.BackendWorkerPool` (results byte-identical to
+serial), and :class:`~repro.engine.window
 .CoalescingWindow` merges duplicate requests across *consecutive* batches
 before the stream reaches the accelerator model.
 """
@@ -35,13 +36,10 @@ from .coalesce import (
     coalesce_requests,
     pack_requests,
 )
-from .engine import BatchResult, QueryEngine, WorkerPoolOwner
+from .engine import BatchResult, QueryEngine
+from .pool import EXECUTORS, BackendWorkerPool, WorkerPoolOwner, default_executor
 from .sharded import (
-    EXECUTORS,
-    BackendWorkerPool,
     ShardedQueryEngine,
-    default_executor,
-    default_replay_workers,
     default_shards,
     merge_shard_stats,
     merge_traces,
@@ -75,7 +73,6 @@ __all__ = [
     "pack_requests",
     "create_backend",
     "default_executor",
-    "default_replay_workers",
     "default_shards",
     "merge_shard_stats",
     "merge_traces",

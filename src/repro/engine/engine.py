@@ -26,6 +26,7 @@ from ..exma.search import OccRequest
 from ..index.fmindex import Interval
 from .backends import SearchBackend, create_backend
 from .coalesce import BatchStats
+from .pool import EXECUTORS, WorkerPoolOwner, default_executor
 
 __all__ = ["BatchResult", "QueryEngine"]
 
@@ -46,57 +47,6 @@ class BatchResult:
     def matched(self) -> int:
         """Queries with at least one occurrence."""
         return sum(1 for interval in self.intervals if not interval.empty)
-
-
-class WorkerPoolOwner:
-    """Owns one persistent shard worker pool bound to ``self._backend``.
-
-    The single implementation of the pool-owner lifecycle every holder
-    (the engines, the read aligner) mixes in: the pool is created lazily
-    on the first multi-shard call, reused across calls, transparently
-    replaced when the effective executor kind or worker count changes
-    (e.g. environment toggles), and released by ``close()``, context-
-    manager exit or garbage collection.  Hosts must provide a
-    ``_backend`` attribute.
-    """
-
-    _pool = None
-
-    @property
-    def worker_pool(self):
-        """The owned persistent pool (``None`` until the first multi-shard
-        call creates it, or after :meth:`close`)."""
-        return self._pool
-
-    def _ensure_pool(self, shards: int, executor: str):
-        from .sharded import BackendWorkerPool
-
-        self._pool = BackendWorkerPool.ensure(self._pool, self._backend, executor, shards)
-        return self._pool
-
-    def close(self) -> None:
-        """Shut down the persistent worker pool (idempotent).
-
-        The owner remains usable: the next sharded call simply creates a
-        fresh pool.
-        """
-        pool, self._pool = self._pool, None
-        if pool is not None:
-            pool.shutdown()
-
-    def __enter__(self):
-        return self
-
-    def __exit__(self, *exc_info) -> None:
-        self.close()
-
-    def __del__(self) -> None:  # pragma: no cover - GC timing dependent
-        try:
-            pool, self._pool = self._pool, None
-            if pool is not None:
-                pool.shutdown(wait=False)
-        except Exception:
-            pass
 
 
 class QueryEngine(WorkerPoolOwner):
@@ -143,13 +93,10 @@ class QueryEngine(WorkerPoolOwner):
             backend = create_backend(name, reference, **kwargs)
         if shards is not None and shards < 1:
             raise ValueError("shards must be >= 1")
-        if executor is not None:
-            from .sharded import EXECUTORS
-
-            if executor not in EXECUTORS:
-                raise ValueError(
-                    f"unknown executor {executor!r}; available: {', '.join(EXECUTORS)}"
-                )
+        if executor is not None and executor not in EXECUTORS:
+            raise ValueError(
+                f"unknown executor {executor!r}; available: {', '.join(EXECUTORS)}"
+            )
         self._backend = backend
         self._shards = shards
         self._executor = executor
@@ -208,8 +155,6 @@ class QueryEngine(WorkerPoolOwner):
         """Effective executor kind (pinned, or the environment default)."""
         if self._executor is not None:
             return self._executor
-        from .sharded import default_executor
-
         return default_executor()
 
     # ------------------------------------------------------------------ #

@@ -42,7 +42,7 @@ from ..accel.config import ExmaAcceleratorConfig, exma_full_config
 from ..accel.exma_accelerator import ExmaAccelerator
 from ..engine.backends import ExmaBackend
 from ..engine.engine import QueryEngine
-from ..engine.sharded import available_parallelism
+from ..engine.pool import available_parallelism
 from ..engine.window import CoalescingWindow
 from ..exma.mtl_index import MTLIndex
 from ..exma.table import ExmaTable

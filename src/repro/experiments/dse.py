@@ -10,7 +10,7 @@ and the coalescing window W, prices each point for throughput (Mbase/s),
 energy-per-base and a first-order area proxy, and reduces the sweep to a
 Pareto frontier (``BENCH_dse.json``).
 
-The sweep is a job queue over PR 8's :class:`~repro.engine.sharded
+The sweep is a job queue over the persistent :class:`~repro.engine.pool
 .BackendWorkerPool`: the workload context (table, MTL indexes, the
 per-batch request streams) ships to the pool **once** as the bound
 backend — process pools install it via the pool initializer — and each
@@ -56,7 +56,7 @@ from ..accel.exma_accelerator import ExmaAccelerator
 from ..engine.backends import ExmaBackend
 from ..engine.coalesce import RequestStream
 from ..engine.engine import QueryEngine
-from ..engine.sharded import BackendWorkerPool, available_parallelism
+from ..engine.pool import BackendWorkerPool, available_parallelism
 from ..engine.window import CoalescingWindow
 from ..exma.mtl_index import MTLIndex
 from ..exma.table import ExmaTable

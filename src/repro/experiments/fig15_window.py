@@ -336,7 +336,7 @@ def shard_scaling_report(rows: list[ShardScalingRow], **workload) -> dict:
     adaptive clamp actually used), so a 1-CPU CI container's numbers are
     not mistaken for a scaling ceiling.
     """
-    from ..engine.sharded import available_parallelism
+    from ..engine.pool import available_parallelism
 
     return {
         "benchmark": "shard_scaling",

@@ -131,7 +131,7 @@ def run_fig18_window(
     query_length: int = 48,
     use_index: bool = True,
     mtl_epochs: int = 60,
-    replay_workers: "int | None" = None,
+    replay_workers: int = 1,
     replay_executor: "str | None" = None,
 ) -> Fig18WindowResult:
     """Sweep the window capacity through the full accelerator pipeline.

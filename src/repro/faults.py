@@ -15,9 +15,10 @@ failure domain:
   :meth:`~repro.serving.workers.BatcherWorker.run_batch`;
 * ``replay.flush`` — the accelerator flush replay
   (:meth:`~repro.serving.service.QueryService._replay_with_retry`);
-* ``pool.submit`` — a :class:`~repro.accel.parallel.ParallelReplay`
-  submission to the shared worker pool (where a *kill* fault takes down
-  an actual process-pool worker with ``os._exit``);
+* ``pool.submit`` — a flush replay handed to the service's shared
+  replay pool (:meth:`~repro.serving.service.QueryService._replay_flush`;
+  a *kill* fault takes down an actual process-pool worker with
+  ``os._exit``);
 * ``worker.loop`` — the top of a batcher worker's serve loop (where a
   *kill* fault crashes the worker thread itself, exercising supervision
   and respawn).

@@ -13,7 +13,8 @@ The contract is **bit-identical outputs**: the jitted functions run the
 same integer arithmetic in the same order as their fallbacks, so the
 existing hypothesis oracles (columnar vs. object DRAM/cache models) pin
 both paths.  ``nogil=True`` matters beyond single-call latency: it lets
-the epoch-parallel replay pool (:mod:`repro.accel.parallel`) scale with
+the epoch-parallel replay pool (:class:`~repro.engine.pool
+.BackendWorkerPool`) scale with
 *thread* workers, because the recurrences — the dominant serial
 fraction of an epoch — release the GIL while they run.
 

@@ -24,7 +24,7 @@ the system must *form* the batches the engine stack is fast on.
   FIFO internally.
 * **Execution** — each batch runs through the wrapped
   :class:`~repro.engine.engine.QueryEngine` (which brings the persistent
-  sharded :class:`~repro.engine.sharded.BackendWorkerPool` substrate along
+  sharded :class:`~repro.engine.pool.BackendWorkerPool` substrate along
   for free), its columnar request stream feeds a
   :class:`~repro.engine.window.CoalescingWindow`, and every flushed window
   is replayed on the accelerator model via
@@ -44,6 +44,7 @@ p50/p99 (:mod:`repro.experiments.serving`).
 from __future__ import annotations
 
 import math
+import os
 import threading
 import time
 from collections import deque
@@ -54,11 +55,18 @@ from ..accel.exma_accelerator import (
     AcceleratorRunResult,
     ExmaAccelerator,
     WindowedRunResult,
+    replay_epoch,
 )
-from ..accel.parallel import ParallelReplay
 from ..engine.engine import QueryEngine
-from ..engine.sharded import EXECUTORS
-from ..faults import SITE_REPLAY, FaultInjector, FaultPlan, WorkerKilled
+from ..engine.pool import EXECUTORS, BackendWorkerPool, default_executor
+from ..faults import (
+    SITE_REPLAY,
+    SITE_SUBMIT,
+    FaultInjector,
+    FaultPlan,
+    InjectedFault,
+    WorkerKilled,
+)
 from ..index.fmindex import Interval
 from .workers import BatcherWorker
 
@@ -76,6 +84,12 @@ __all__ = [
     "Ticket",
     "percentile",
 ]
+
+
+def _exit_worker(*_args) -> None:  # pragma: no cover - runs in a pool worker
+    """Pool dispatch target of an injected *kill* fault: take this
+    process-pool worker down hard, breaking the executor."""
+    os._exit(17)
 
 
 #: Smoothing factor of the batch-service-time EWMA feeding
@@ -172,9 +186,10 @@ class ServingConfig:
             window; batches are still formed one at a time under the
             service lock, so fairness and the per-partition offline
             equivalence are unchanged.
-        replay_workers: size of the shared epoch-replay pool
-            (:class:`~repro.accel.parallel.ParallelReplay`) the batcher
-            workers hand their flushes to.  At 1 (the default) each
+        replay_workers: size of the shared epoch-replay pool (a
+            :class:`~repro.engine.pool.BackendWorkerPool` bound to the
+            accelerator, owned by the service) the batcher workers hand
+            their flushes to.  At 1 (the default) each
             batcher replays its flush inline, exactly as before; above 1
             every flush is offloaded to the pool — the batcher blocks on
             its own flush, but flushes from different batchers overlap,
@@ -585,20 +600,17 @@ class QueryService(object):
             if self._config.faults is not None
             else None
         )
-        #: Shared epoch-replay driver all batcher workers hand their
-        #: flushes to; at ``replay_workers == 1`` it replays inline (no
-        #: pool exists), so the single-worker path is unchanged.
-        self._replay = (
-            ParallelReplay(
+        #: Shared epoch-replay pool all batcher workers hand their
+        #: flushes to; ``None`` at ``replay_workers == 1`` (each batcher
+        #: replays inline) and when serving search-only.
+        self._replay_pool = None
+        if accelerator is not None and self._config.replay_workers > 1:
+            executor = self._config.replay_executor
+            self._replay_pool = BackendWorkerPool(
                 accelerator,
-                workers=self._config.replay_workers,
-                executor=self._config.replay_executor,
-                faults=self._faults,
-                timeout=self._config.replay_timeout,
+                default_executor() if executor is None else executor,
+                max_workers=self._config.replay_workers,
             )
-            if accelerator is not None
-            else None
-        )
         self._workers = [
             BatcherWorker(self, index, engine if index == 0 else engine.clone())
             for index in range(self._config.workers)
@@ -625,9 +637,10 @@ class QueryService(object):
         return list(self._workers)
 
     @property
-    def replay(self) -> ParallelReplay | None:
-        """The shared epoch-replay driver (None when serving search-only)."""
-        return self._replay
+    def replay_pool(self) -> BackendWorkerPool | None:
+        """The shared epoch-replay pool (``None`` when flushes replay
+        inline: ``replay_workers == 1`` or search-only serving)."""
+        return self._replay_pool
 
     @property
     def faults(self) -> FaultInjector | None:
@@ -690,8 +703,8 @@ class QueryService(object):
             # work behind (supervision does not respawn past this point):
             # sweep it inline so the zero-stranded contract holds.
             self._drain_inline()
-        if self._replay is not None:
-            self._replay.close()
+        if self._replay_pool is not None:
+            self._replay_pool.shutdown()
 
     def _drain_inline(self) -> None:
         """Drain the queue on the caller's thread via worker 0, resolving
@@ -834,16 +847,55 @@ class QueryService(object):
         if self._faults is not None:
             self._faults.fire(site)
 
-    def _replay_flush(self, flushed) -> AcceleratorRunResult:
-        """Replay one flushed window through the shared replay driver.
+    def _inject_submit_fault(self) -> None:
+        """Probe the ``pool.submit`` injection site before a replay.
 
-        The single replay entry point of every batcher worker: inline at
-        ``replay_workers == 1``, offloaded to the persistent pool above —
-        either way the result is field-for-field what
-        :meth:`~repro.accel.exma_accelerator.ExmaAccelerator.replay_flush`
-        returns, so the offline-equivalence pin is untouched.
+        A *kill* fault takes down a live process-pool worker with
+        ``os._exit`` (breaking the executor so the pool's degradation
+        ladder engages on the submit that follows); without a process
+        pool — where no worker can be killed — it degrades to a
+        ``raise`` on the submitting side.
         """
-        return self._replay.replay_flush(flushed, name=self._config.name)
+        if self._faults is None:
+            return
+        spec = self._faults.decide(SITE_SUBMIT)
+        if spec is None:
+            return
+        if spec.kind == "delay":
+            time.sleep(spec.delay_s)
+            return
+        pool = self._replay_pool
+        if spec.kind == "kill" and pool is not None and pool.kind == "process":
+            if not pool.degraded:
+                try:
+                    pool.submit(_exit_worker, None)
+                except Exception:  # noqa: BLE001 - pool already broken
+                    # A previous kill already broke the executor and no
+                    # call observed it yet: the replay that follows this
+                    # probe will, and walks the degradation ladder.
+                    pass
+            return
+        raise InjectedFault(SITE_SUBMIT, self._faults.probes[SITE_SUBMIT] - 1)
+
+    def _replay_flush(self, flushed) -> AcceleratorRunResult:
+        """Replay one flushed window, inline or on the shared replay pool.
+
+        The single replay entry point of every batcher worker: probes
+        ``pool.submit``, then replays inline at ``replay_workers == 1``
+        or offloads to the persistent pool above (its rebuild-once /
+        serial-fallback ladder absorbs a broken or wedged pool, bounded
+        by ``replay_timeout``).  Either way the result is field-for-field
+        what :meth:`~repro.accel.exma_accelerator.ExmaAccelerator
+        .replay_flush` returns, so the offline-equivalence pin is
+        untouched.
+        """
+        self._inject_submit_fault()
+        name = self._config.name
+        if self._replay_pool is None:
+            return replay_epoch(self._accelerator, name, flushed)
+        return self._replay_pool.run_one(
+            replay_epoch, flushed, name, timeout=self._config.replay_timeout
+        )
 
     def _replay_with_retry(self, flushed) -> AcceleratorRunResult:
         """Replay a flush, absorbing transient faults with capped backoff.

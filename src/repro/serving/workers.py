@@ -212,9 +212,9 @@ class BatcherWorker:
     def replay(self, flushed) -> None:
         """Replay one flushed window — the worker's unit of work.
 
-        Goes through the service's shared :class:`~repro.accel.parallel
-        .ParallelReplay`: inline when ``replay_workers == 1``, offloaded
-        to the persistent replay pool otherwise (this thread blocks on
+        Goes through :meth:`~repro.serving.service.QueryService
+        ._replay_flush`: inline when ``replay_workers == 1``, offloaded
+        to the service's persistent replay pool otherwise (this thread blocks on
         its own flush; flushes from other batcher workers overlap in the
         pool).  Transient replay faults retry with capped backoff; a
         flush that keeps failing falls to :meth:`_degraded_replay`.

@@ -70,6 +70,19 @@ class TestSearchCommand:
         assert exit_code == 0
         assert "1 occurrence" in capsys.readouterr().out or "occurrence" in ""
 
+    @pytest.mark.parametrize("backend", ["fmindex", "exma"])
+    @pytest.mark.parametrize("query", ["ACGTN", "acgt", "", "ACG$"])
+    def test_invalid_query_is_one_error_line_and_exit_2(self, capsys, backend, query):
+        exit_code = main(
+            ["search", "--genome-length", "2000", "--seed", "5", "--step", "4",
+             "--backend", backend, "--queries", query]
+        )
+        err = capsys.readouterr().err
+        assert exit_code == 2
+        assert len(err.splitlines()) == 1
+        assert err.startswith("error: ")
+        assert "Traceback" not in err
+
 
 class TestInfoCommand:
     def test_info_prints_sizes(self, capsys):

@@ -12,20 +12,22 @@ import warnings
 
 import pytest
 
+import repro.engine.pool as pool
 import repro.engine.sharded as sharded
 from repro.engine.backends import FMIndexBackend
 from repro.engine.engine import QueryEngine
-from repro.engine.sharded import default_executor, default_replay_workers, default_shards
+from repro.engine.pool import default_executor
+from repro.engine.sharded import default_shards
 
 
 @pytest.fixture(autouse=True)
 def fresh_warn_state():
     """Each test sees virgin warn-once state (it is per-process otherwise)."""
-    saved = set(sharded._WARNED_ENV_VALUES)
-    sharded._WARNED_ENV_VALUES.clear()
+    saved = set(pool._WARNED_ENV_VALUES)
+    pool._WARNED_ENV_VALUES.clear()
     yield
-    sharded._WARNED_ENV_VALUES.clear()
-    sharded._WARNED_ENV_VALUES.update(saved)
+    pool._WARNED_ENV_VALUES.clear()
+    pool._WARNED_ENV_VALUES.update(saved)
 
 
 class TestDefaultShards:
@@ -71,84 +73,25 @@ class TestDefaultShards:
             default_shards()
 
 
-class TestDefaultReplayWorkers:
-    """REPRO_DEFAULT_REPLAY_WORKERS mirrors the shard toggle's contract:
-    malformed or non-positive values warn once and fall back to serial
-    replay — an always-on service must never crash on an operator typo."""
-
-    def test_unset_means_serial(self, monkeypatch):
-        monkeypatch.delenv(sharded.REPLAY_WORKERS_ENV, raising=False)
-        assert default_replay_workers() == 1
-
-    def test_blank_means_serial(self, monkeypatch):
-        monkeypatch.setenv(sharded.REPLAY_WORKERS_ENV, "   ")
-        assert default_replay_workers() == 1
-
-    def test_valid_value_parses_with_whitespace(self, monkeypatch):
-        monkeypatch.setenv(sharded.REPLAY_WORKERS_ENV, " 4 ")
-        with warnings.catch_warnings():
-            warnings.simplefilter("error")  # any warning is a failure
-            assert default_replay_workers() == 4
-
-    @pytest.mark.parametrize("raw", ["auto", "2.5", "2 workers", ""])
-    def test_malformed_value_warns_and_falls_back(self, monkeypatch, raw):
-        monkeypatch.setenv(sharded.REPLAY_WORKERS_ENV, raw)
-        if not raw.strip():
-            assert default_replay_workers() == 1
-            return
-        with pytest.warns(RuntimeWarning, match="malformed"):
-            assert default_replay_workers() == 1
-
-    @pytest.mark.parametrize("raw", ["0", "-2"])
-    def test_non_positive_value_warns_and_falls_back(self, monkeypatch, raw):
-        monkeypatch.setenv(sharded.REPLAY_WORKERS_ENV, raw)
-        with pytest.warns(RuntimeWarning, match="non-positive"):
-            assert default_replay_workers() == 1
-
-    def test_warns_once_per_value(self, monkeypatch):
-        monkeypatch.setenv(sharded.REPLAY_WORKERS_ENV, "bogus")
-        with pytest.warns(RuntimeWarning):
-            default_replay_workers()
-        with warnings.catch_warnings():
-            warnings.simplefilter("error")
-            assert default_replay_workers() == 1  # second read: silent fallback
-        monkeypatch.setenv(sharded.REPLAY_WORKERS_ENV, "also-bogus")
-        with pytest.warns(RuntimeWarning):
-            default_replay_workers()
-
-    def test_independent_of_shard_toggle(self, monkeypatch):
-        """The two knobs are separate axes: shard env does not leak into
-        the replay default and vice versa."""
-        monkeypatch.setenv(sharded.SHARDS_ENV, "8")
-        monkeypatch.delenv(sharded.REPLAY_WORKERS_ENV, raising=False)
-        assert default_replay_workers() == 1
-        monkeypatch.setenv(sharded.REPLAY_WORKERS_ENV, "2")
-        monkeypatch.delenv(sharded.SHARDS_ENV, raising=False)
-        with warnings.catch_warnings():
-            warnings.simplefilter("error")
-            assert default_replay_workers() == 2
-            assert default_shards() == 1
-
-
 class TestDefaultExecutor:
     def test_unset_means_thread(self, monkeypatch):
-        monkeypatch.delenv(sharded.EXECUTOR_ENV, raising=False)
+        monkeypatch.delenv(pool.EXECUTOR_ENV, raising=False)
         assert default_executor() == "thread"
 
     def test_known_values_normalise(self, monkeypatch):
         for raw, expected in [("thread", "thread"), (" Process ", "process"), ("THREAD", "thread")]:
-            monkeypatch.setenv(sharded.EXECUTOR_ENV, raw)
+            monkeypatch.setenv(pool.EXECUTOR_ENV, raw)
             with warnings.catch_warnings():
                 warnings.simplefilter("error")
                 assert default_executor() == expected
 
     def test_unknown_value_warns_and_falls_back(self, monkeypatch):
-        monkeypatch.setenv(sharded.EXECUTOR_ENV, "greenlet")
+        monkeypatch.setenv(pool.EXECUTOR_ENV, "greenlet")
         with pytest.warns(RuntimeWarning, match="thread, process"):
             assert default_executor() == "thread"
 
     def test_warns_once_per_value(self, monkeypatch):
-        monkeypatch.setenv(sharded.EXECUTOR_ENV, "fiber")
+        monkeypatch.setenv(pool.EXECUTOR_ENV, "fiber")
         with pytest.warns(RuntimeWarning):
             default_executor()
         with warnings.catch_warnings():
@@ -161,7 +104,7 @@ class TestEngineUnderBadEnv:
         """The regression this PR fixes: a bad toggle pair must yield a
         working serial engine, not an exception at construction."""
         monkeypatch.setenv(sharded.SHARDS_ENV, "not-a-number")
-        monkeypatch.setenv(sharded.EXECUTOR_ENV, "greenlet")
+        monkeypatch.setenv(pool.EXECUTOR_ENV, "greenlet")
         with pytest.warns(RuntimeWarning):
             engine = QueryEngine(FMIndexBackend("ACGTACGTACGT"))
             result = engine.search_batch(["ACGT", "TTTT"])

@@ -3,7 +3,8 @@
 Every ``run_stream`` flush is an independent scheduling epoch — the
 scheduler, caches and DRAM state start fresh per flush (the PR 4
 contract) — so fanning epochs across a worker pool is pure reassembly:
-:class:`repro.accel.parallel.ParallelReplay` must produce a
+``run_stream(replay_workers > 1)`` maps the flush epochs over the
+accelerator's persistent worker pool and must produce a
 :class:`~repro.accel.exma_accelerator.WindowedRunResult` that is
 **field-for-field identical** (dataclass equality over every counter,
 cache/DRAM stat and energy ledger) to the serial loop, for the request
@@ -13,13 +14,17 @@ kinds.  Anything less and the parallel path is not allowed to exist.
 
 from __future__ import annotations
 
+import time
+import warnings
+
 import pytest
 
-from repro.accel import ExmaAccelerator, ExmaAcceleratorConfig, ParallelReplay
-from repro.engine import CoalescingWindow, QueryEngine, create_backend
+from repro.accel import ExmaAccelerator, ExmaAcceleratorConfig, replay_epoch
+from repro.engine import BackendWorkerPool, CoalescingWindow, QueryEngine, create_backend
 from repro.engine.backends import ExmaBackend, FMIndexBackend, LisaBackend
 from repro.exma.mtl_index import MTLIndex
 from repro.exma.table import ExmaTable
+from repro.faults import SITE_REPLAY, SITE_SUBMIT, FaultPlan, FaultSpec, InjectedFault
 from repro.lisa.search import LisaIndex
 from repro.serving import QueryService, ServingConfig
 from repro.testing import random_queries, reference_and_queries
@@ -130,98 +135,136 @@ class TestPlainRequestSequences:
         assert parallel.issued == sum(len(epoch) for epoch in epochs)
 
 
+class TestSerialReplayIsLazy:
+    def test_each_flush_replays_before_the_next_is_pulled(self, streams, accelerator):
+        """At replay_workers=1 the stream is consumed lazily: a latency
+        probe that reads the clock when the next flush is pulled (and a
+        span around replay_flush) relies on replay i ending before pull
+        i+1.  Materializing the stream first would pull every flush up
+        front and fail the order below."""
+        events: list[tuple[str, int]] = []
+
+        class Recording(ExmaAccelerator):
+            def replay_flush(self, flushed, name="EXMA"):
+                events.append(("replay", flushed.batches))
+                return super().replay_flush(flushed, name=name)
+
+        def pulled(flushes):
+            for index, flushed in enumerate(flushes):
+                events.append(("pull", index))
+                yield flushed
+
+        recording = Recording(accelerator.table, None, accelerator.config)
+        flushes = list(CoalescingWindow(1).stream(streams["exma"]))
+        result = recording.run_stream(pulled(flushes), replay_workers=1)
+        expected = []
+        for index, flushed in enumerate(flushes):
+            expected += [("pull", index), ("replay", flushed.batches)]
+        assert events == expected
+        assert result == accelerator.run_stream(iter(flushes))
+
+
 class TestParallelReplayDriver:
+    """The replay pool itself: a BackendWorkerPool bound to the
+    accelerator, driven by run_one (the serving shape) or map_shards
+    (the run_stream shape)."""
+
     def test_replay_flush_matches_accelerator(self, streams, accelerator):
         flushes = list(CoalescingWindow(2).stream(streams["exma"]))
-        with ParallelReplay(accelerator, workers=2, executor="thread") as replay:
+        with BackendWorkerPool(accelerator, "thread", max_workers=2) as pool:
             for flushed in flushes:
-                assert replay.replay_flush(flushed) == accelerator.replay_flush(flushed)
+                assert pool.run_one(replay_epoch, flushed, "EXMA") == (
+                    accelerator.replay_flush(flushed)
+                )
 
-    def test_workers_validated(self, accelerator):
-        with pytest.raises(ValueError):
-            ParallelReplay(accelerator, workers=0)
-        with pytest.raises(ValueError):
-            ParallelReplay(accelerator, workers=2, executor="greenlet")
+    def test_map_shards_matches_accelerator(self, streams, accelerator):
+        flushes = list(CoalescingWindow(2).stream(streams["exma"]))
+        with BackendWorkerPool(accelerator, "thread", max_workers=2) as pool:
+            results = pool.map_shards(replay_epoch, flushes, "EXMA")
+        assert results == [accelerator.replay_flush(flushed) for flushed in flushes]
 
-    def test_close_is_idempotent(self, accelerator):
-        replay = ParallelReplay(accelerator, workers=2)
-        replay.close()
-        replay.close()
+    def test_workers_validated(self, streams, accelerator):
+        with pytest.raises(ValueError):
+            accelerator.run_windowed(streams["exma"], window=2, replay_workers=0)
+        with pytest.raises(ValueError):
+            accelerator.run_windowed(
+                streams["exma"], window=2, replay_workers=2, executor="greenlet"
+            )
+        accelerator.close()
+
+    def test_close_is_idempotent(self, streams, accelerator):
+        accelerator.run_windowed(streams["exma"], window=2, replay_workers=2)
+        accelerator.close()
+        accelerator.close()
+        assert accelerator.worker_pool is None
 
 
 class TestPoolLifecycle:
     def test_pool_reused_swapped_and_closed(self, streams, accelerator):
-        """Same knobs reuse the owned driver; changed knobs swap it;
+        """Same knobs reuse the owned pool; changed knobs swap it;
         close() releases it — and every configuration stays exact."""
         serial = accelerator.run_windowed(streams["fmindex"], window=2)
 
         first = accelerator.run_windowed(streams["fmindex"], window=2, replay_workers=2)
-        driver = accelerator.replay
-        assert driver is not None and driver.workers == 2
+        pool = accelerator.worker_pool
+        assert pool is not None and pool.max_workers == 2
+        assert pool.backend is accelerator
 
         second = accelerator.run_windowed(streams["fmindex"], window=2, replay_workers=2)
-        assert accelerator.replay is driver  # reused, not rebuilt
+        assert accelerator.worker_pool is pool  # reused, not rebuilt
 
         third = accelerator.run_windowed(streams["fmindex"], window=2, replay_workers=4)
-        assert accelerator.replay is not driver  # swapped on knob change
-        assert accelerator.replay.workers == 4
+        assert accelerator.worker_pool is not pool  # swapped on knob change
+        assert accelerator.worker_pool.max_workers == 4
 
         accelerator.close()
-        assert accelerator.replay is None
+        assert accelerator.worker_pool is None
         assert first == serial and second == serial and third == serial
 
     def test_serial_run_leaves_no_pool(self, streams, accelerator):
         accelerator.close()
         accelerator.run_windowed(streams["fmindex"], window=2, replay_workers=1)
-        assert accelerator.replay is None
+        assert accelerator.worker_pool is None
+
+    def test_default_is_serial(self, streams, accelerator):
+        accelerator.close()
+        accelerator.run_windowed(streams["fmindex"], window=2)
+        assert accelerator.worker_pool is None
+
+    def test_pickled_accelerator_drops_the_pool(self, streams, accelerator):
+        import pickle
+
+        accelerator.run_windowed(streams["fmindex"], window=2, replay_workers=2)
+        assert accelerator.worker_pool is not None
+        clone = pickle.loads(pickle.dumps(accelerator))
+        assert clone.worker_pool is None
+        accelerator.close()
 
 
 class TestKnobResolution:
-    def test_explicit_workers_win_verbatim(self, accelerator):
+    def test_explicit_workers_win_verbatim(self, streams, accelerator):
         """An explicit count is honoured even on a single-core host (the
         forced-shard split's contract): no hardware clamp applies."""
-        assert accelerator._resolve_replay_workers(4) == 4
+        result = accelerator.run_windowed(streams["exma"], window=2, replay_workers=4)
+        assert accelerator.worker_pool.max_workers == 4
+        assert result == accelerator.run_windowed(streams["exma"], window=2)
+        accelerator.close()
 
-    def test_invalid_explicit_workers(self, accelerator):
+    def test_invalid_explicit_workers(self, streams, accelerator):
         with pytest.raises(ValueError):
-            accelerator._resolve_replay_workers(0)
-
-    def test_env_default_picked_up(self, monkeypatch, streams, accelerator):
-        """REPRO_DEFAULT_REPLAY_WORKERS re-points the default path at the
-        pool (oversubscribe lifts the single-core clamp), and the result
-        still equals serial."""
-        monkeypatch.setenv("REPRO_DEFAULT_REPLAY_WORKERS", "2")
-        monkeypatch.setenv("REPRO_SHARD_OVERSUBSCRIBE", "1")
-        serial = accelerator.run_windowed(streams["exma"], window=2, replay_workers=1)
-        result = accelerator.run_windowed(streams["exma"], window=2)
-        assert accelerator.replay is not None and accelerator.replay.workers == 2
-        assert result == serial
-        accelerator.close()
-
-    def test_env_default_clamped_without_oversubscribe(
-        self, monkeypatch, streams, accelerator
-    ):
-        """Without the oversubscribe toggle the env default degrades to
-        the host's parallelism — serial replay on a single-core box, and
-        never a pool bigger than the machine."""
-        from repro.engine.sharded import available_parallelism
-
-        monkeypatch.setenv("REPRO_DEFAULT_REPLAY_WORKERS", "64")
-        monkeypatch.delenv("REPRO_SHARD_OVERSUBSCRIBE", raising=False)
-        accelerator.close()
-        accelerator.run_windowed(streams["exma"], window=2)
-        driver = accelerator.replay
-        if available_parallelism() == 1:
-            assert driver is None
-        else:
-            assert driver is not None
-            assert driver.workers <= available_parallelism()
-        accelerator.close()
+            accelerator.run_stream(iter([]), replay_workers=0)
 
 
 # --------------------------------------------------------------------- #
-# Pool failure: rebuild once, then degrade to serial (exactly)
+# Service replay path: submit probe, then rebuild once / degrade (exactly)
 # --------------------------------------------------------------------- #
+
+
+def _service(accelerator, specs=(), **knobs) -> QueryService:
+    """A never-started service whose replay path the tests drive directly."""
+    engine = QueryEngine(ExmaBackend(table=accelerator.table))
+    faults = FaultPlan(specs=tuple(specs)) if specs else None
+    return QueryService(engine, accelerator, ServingConfig(faults=faults, **knobs))
 
 
 class TestPoolDegradation:
@@ -232,20 +275,26 @@ class TestPoolDegradation:
     def _flushes(self, streams):
         return list(CoalescingWindow(2).stream(streams["exma"]))
 
-    def test_process_worker_kill_rebuilds_pool_exactly(self, streams, accelerator):
-        from repro.faults import SITE_SUBMIT, FaultInjector, FaultPlan, FaultSpec
+    def _expected(self, service, accelerator, flushed):
+        return accelerator.replay_flush(flushed, name=service.config.name)
 
+    def test_process_worker_kill_rebuilds_pool_exactly(self, streams, accelerator):
         flushes = self._flushes(streams)
-        injector = FaultInjector(
-            FaultPlan(specs=(FaultSpec(site=SITE_SUBMIT, kind="kill", at=(0,)),))
+        service = _service(
+            accelerator,
+            [FaultSpec(site=SITE_SUBMIT, kind="kill", at=(0,))],
+            replay_workers=2,
+            replay_executor="process",
         )
-        with ParallelReplay(
-            accelerator, workers=2, executor="process", faults=injector
-        ) as replay:
+        try:
             for flushed in flushes:
-                assert replay.replay_flush(flushed) == accelerator.replay_flush(flushed)
-            assert not replay.degraded  # one failure: rebuilt, not degraded
-        assert injector.total_injected == 1
+                assert service._replay_flush(flushed) == self._expected(
+                    service, accelerator, flushed
+                )
+            assert not service.replay_pool.degraded  # one failure: rebuilt
+        finally:
+            service.stop()
+        assert service.faults.total_injected == 1
 
     def test_repeated_kills_never_change_results(self, streams, accelerator):
         """A kill on *every* flush submission: whether each broken pool is
@@ -254,80 +303,126 @@ class TestPoolDegradation:
         The warn-once on the second observed failure is tolerated, not
         required (the deterministic rebuild->degrade sequence is pinned by
         the wedged-pool timeout test below)."""
-        import warnings as _warnings
-
-        from repro.faults import SITE_SUBMIT, FaultInjector, FaultPlan, FaultSpec
-
         flushes = self._flushes(streams)
         assert len(flushes) >= 2
-        injector = FaultInjector(
-            FaultPlan(
-                specs=(
-                    FaultSpec(
-                        site=SITE_SUBMIT, kind="kill", at=tuple(range(len(flushes)))
-                    ),
-                )
-            )
+        service = _service(
+            accelerator,
+            [FaultSpec(site=SITE_SUBMIT, kind="kill", at=tuple(range(len(flushes))))],
+            replay_workers=2,
+            replay_executor="process",
         )
-        with ParallelReplay(
-            accelerator, workers=2, executor="process", faults=injector
-        ) as replay:
-            with _warnings.catch_warnings():
-                _warnings.simplefilter("ignore", RuntimeWarning)
-                results = [replay.replay_flush(flushed) for flushed in flushes]
-        assert injector.total_injected == len(flushes)
-        assert results == [accelerator.replay_flush(flushed) for flushed in flushes]
+        try:
+            with warnings.catch_warnings():
+                warnings.simplefilter("ignore", RuntimeWarning)
+                results = [service._replay_flush(flushed) for flushed in flushes]
+        finally:
+            service.stop()
+        assert service.faults.total_injected == len(flushes)
+        assert results == [
+            self._expected(service, accelerator, flushed) for flushed in flushes
+        ]
+
+    def _kill_raises_on_submitting_side(self, streams, accelerator, replay_workers):
+        flushes = self._flushes(streams)
+        service = _service(
+            accelerator,
+            [FaultSpec(site=SITE_SUBMIT, kind="kill", at=(0,))],
+            replay_workers=replay_workers,
+            replay_executor="thread",
+        )
+        try:
+            with pytest.raises(InjectedFault):
+                service._replay_flush(flushes[0])
+            # Later flushes are untouched (the fault was a task error, not
+            # a pool failure).
+            assert service._replay_flush(flushes[1]) == self._expected(
+                service, accelerator, flushes[1]
+            )
+        finally:
+            service.stop()
 
     def test_thread_kill_degrades_on_submitting_side(self, streams, accelerator):
         """A thread pool has no separate process to take down: the kill
         surfaces as an InjectedFault on the submitting side instead of
         silently succeeding."""
-        from repro.faults import SITE_SUBMIT, FaultInjector, FaultPlan, FaultSpec, InjectedFault
+        self._kill_raises_on_submitting_side(streams, accelerator, replay_workers=2)
 
-        flushes = self._flushes(streams)
-        injector = FaultInjector(
-            FaultPlan(specs=(FaultSpec(site=SITE_SUBMIT, kind="kill", at=(0,)),))
-        )
-        with ParallelReplay(
-            accelerator, workers=2, executor="thread", faults=injector
-        ) as replay:
-            with pytest.raises(InjectedFault):
-                replay.replay_flush(flushes[0])
-            # Later flushes are untouched (the fault was a task error, not
-            # a pool failure).
-            assert replay.replay_flush(flushes[1]) == accelerator.replay_flush(flushes[1])
+    def test_inline_kill_raises_on_submitting_side(self, streams, accelerator):
+        """Inline replay (replay_workers=1) has no pool at all: same."""
+        self._kill_raises_on_submitting_side(streams, accelerator, replay_workers=1)
 
     def test_wedged_pool_times_out_into_serial_fallback(
         self, streams, accelerator, monkeypatch
     ):
-        """A replay that outlives the gather deadline trips the whole
-        ladder — timeout, rebuild, timeout, degrade — and the inline
-        fallback still returns the exact serial result."""
-        import time as _time
-
-        import repro.accel.parallel as parallel_module
+        """A replay that outlives replay_timeout trips the whole ladder —
+        timeout, rebuild, timeout, degrade with one warning — and the
+        inline fallback still returns the exact serial result."""
+        import repro.serving.service as service_module
 
         flushes = self._flushes(streams)
-        real_epoch = parallel_module.replay_epoch
+        real_epoch = service_module.replay_epoch
 
         def wedged_epoch(accel, name, flushed):
-            _time.sleep(0.2)
+            time.sleep(0.2)
             return real_epoch(accel, name, flushed)
 
-        monkeypatch.setattr(parallel_module, "replay_epoch", wedged_epoch)
-        with ParallelReplay(
-            accelerator, workers=2, executor="thread", timeout=0.01
-        ) as replay:
-            with pytest.warns(RuntimeWarning, match="failed twice"):
-                result = replay.replay_flush(flushes[0])
-            assert replay.degraded
-            assert result == accelerator.replay_flush(flushes[0])
+        monkeypatch.setattr(service_module, "replay_epoch", wedged_epoch)
+        service = _service(
+            accelerator, replay_workers=2, replay_executor="thread", replay_timeout=0.01
+        )
+        try:
+            with warnings.catch_warnings(record=True) as caught:
+                warnings.simplefilter("always")
+                first = service._replay_flush(flushes[0])
+                assert service.replay_pool.degraded
+                second = service._replay_flush(flushes[1])
+        finally:
+            service.stop()
+        assert sum("failed twice" in str(w.message) for w in caught) == 1
+        assert first == self._expected(service, accelerator, flushes[0])
+        assert second == self._expected(service, accelerator, flushes[1])
 
-    def test_timeout_validated(self, accelerator):
+    def test_timeout_validated(self):
         with pytest.raises(ValueError):
-            ParallelReplay(accelerator, workers=2, timeout=0.0)
+            ServingConfig(replay_workers=2, replay_timeout=0.0)
         with pytest.raises(ValueError):
-            ParallelReplay(accelerator, workers=2, timeout=-1.0)
+            ServingConfig(replay_workers=2, replay_timeout=-1.0)
+
+
+class TestServiceProbeOrder:
+    @pytest.mark.parametrize("replay_workers", [1, 2])
+    def test_replay_flush_probed_before_pool_submit(
+        self, replay_workers, streams, accelerator, monkeypatch
+    ):
+        """Every replay attempt probes replay.flush first and pool.submit
+        second, at every worker count — a retried attempt included."""
+        flushes = list(CoalescingWindow(2).stream(streams["exma"]))
+        service = _service(
+            accelerator,
+            [FaultSpec(site=SITE_REPLAY, kind="raise", at=(0,))],
+            replay_workers=replay_workers,
+            replay_executor="thread",
+            retry_backoff=0.0,
+        )
+        probed: list[str] = []
+        decide = service.faults.decide
+
+        def recording(site):
+            probed.append(site)
+            return decide(site)
+
+        monkeypatch.setattr(service.faults, "decide", recording)
+        try:
+            results = [service._replay_with_retry(flushed) for flushed in flushes]
+        finally:
+            service.stop()
+        # Attempt 1 of flush 0 raises at replay.flush (no submit probe);
+        # its retry and every later flush probe both sites, in order.
+        assert probed == [SITE_REPLAY] + [SITE_REPLAY, SITE_SUBMIT] * len(flushes)
+        assert results == [
+            accelerator.replay_flush(flushed, name=service.config.name)
+            for flushed in flushes
+        ]
 
 
 # --------------------------------------------------------------------- #
@@ -345,7 +440,7 @@ class TestServingReplayWorkers:
     def test_service_shares_one_parallel_replay(self, workload):
         """A replay_workers=2 service serves the same intervals as the
         plain engine and funnels every batcher's flush through one shared
-        ParallelReplay over the pool."""
+        replay pool."""
         reference, batches = workload
         table = ExmaTable(reference, k=4)
         engine = QueryEngine(ExmaBackend(table=table))
@@ -356,8 +451,8 @@ class TestServingReplayWorkers:
         queries = [query for batch in batches for query in batch]
         expected = engine.search_batch(queries)
         with QueryService(engine, accelerator, config) as service:
-            assert service.replay is not None
-            assert service.replay.workers == 2
+            assert service.replay_pool is not None
+            assert service.replay_pool.max_workers == 2
             tickets = [service.submit([query]) for query in queries]
             service.stop()
             intervals = [
@@ -372,5 +467,5 @@ class TestServingReplayWorkers:
         reference, _ = workload
         engine = QueryEngine(ExmaBackend(table=ExmaTable(reference, k=4)))
         with QueryService(engine, None, ServingConfig(replay_workers=2)) as service:
-            assert service.replay is None
+            assert service.replay_pool is None
             service.stop()
